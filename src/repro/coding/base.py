@@ -49,6 +49,15 @@ class IntegerCodec(ABC):
         ``data`` is truncated or malformed.
         """
 
+    def max_encoded_size(self, count: int) -> int | None:
+        """Most bytes a valid encoding of ``count`` integers below 2**64 can
+        take, or ``None`` when the codec gives no such bound.
+
+        Wrapping codecs (:class:`repro.coding.ZlibCodec`) use it to stop
+        inflating a hostile stream once it outgrows what its header allows.
+        """
+        return None
+
     def decode_all(self, data: bytes) -> list[int]:
         """Decode every integer in ``data`` (only for self-delimiting codecs)."""
         raise DecodingError(

@@ -43,13 +43,21 @@ class FixedWidthCodec(IntegerCodec):
                 )
         return struct.pack(f"<{len(values)}{self._format}", *values)
 
+    def max_encoded_size(self, count: int) -> int:
+        return count * self._width
+
     def decode(self, data: bytes, count: int) -> List[int]:
         expected = count * self._width
         if len(data) < expected:
             raise DecodingError(
                 f"fixed-width stream too short: {len(data)} bytes, expected {expected}"
             )
-        return list(struct.unpack_from(f"<{count}{self._format}", data))
+        if len(data) > expected:
+            raise DecodingError(
+                f"fixed-width stream has {len(data) - expected} trailing bytes "
+                f"after {count} values"
+            )
+        return list(struct.unpack(f"<{count}{self._format}", data))
 
     def decode_all(self, data: bytes) -> List[int]:
         if len(data) % self._width:

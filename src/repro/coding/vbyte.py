@@ -76,6 +76,9 @@ class VByteCodec(IntegerCodec):
         check_non_negative(values, "vbyte")
         return encode_vbyte(values)
 
+    def max_encoded_size(self, count: int) -> int:
+        return count * 10  # ceil(64 / 7) bytes per value below 2**64
+
     def decode(self, data: bytes, count: int) -> List[int]:
         return decode_vbyte(data, count)
 

@@ -12,6 +12,7 @@ pair coding does.
 
 from __future__ import annotations
 
+import sys
 import zlib
 from typing import List, Sequence
 
@@ -54,18 +55,34 @@ class ZlibCodec(IntegerCodec):
         return zlib.compress(self._inner.encode(values), self._level)
 
     def decode(self, data: bytes, count: int) -> List[int]:
+        limit = self._inner.max_encoded_size(count)
+        if limit is None:
+            return self._inner.decode(self._inflate(data), count)
+        limit = min(limit, sys.maxsize - 1)
+        # Inflate at most one byte past what ``count`` values can take, so a
+        # crafted stream cannot allocate more than its header declares.
+        inflater = zlib.decompressobj()
         try:
-            raw = zlib.decompress(data)
+            raw = inflater.decompress(data, limit + 1)
         except zlib.error as exc:
             raise DecodingError(f"corrupt zlib stream: {exc}") from exc
+        if len(raw) > limit:
+            raise DecodingError(
+                f"zlib stream inflates past the {limit} bytes {count} values can take"
+            )
+        if not inflater.eof:
+            raise DecodingError("corrupt zlib stream: truncated")
         return self._inner.decode(raw, count)
 
-    def decode_all(self, data: bytes) -> List[int]:
+    @staticmethod
+    def _inflate(data: bytes) -> bytes:
         try:
-            raw = zlib.decompress(data)
+            return zlib.decompress(data)
         except zlib.error as exc:
             raise DecodingError(f"corrupt zlib stream: {exc}") from exc
-        return self._inner.decode_all(raw)
+
+    def decode_all(self, data: bytes) -> List[int]:
+        return self._inner.decode_all(self._inflate(data))
 
 
 def make_zlib_vbyte_codec(level: int = 9) -> ZlibCodec:

@@ -86,6 +86,19 @@ class RlzFactorizer:
             raise FactorizationError("factorize expects a bytes-like document")
         return self._suffix_array.factorize_stream(bytes(text))
 
+    def factorize_batch(self, documents: Iterable[bytes]) -> List[Tuple[List[int], List[int]]]:
+        """:meth:`factorize_streams` of every document, parsed together.
+
+        Runs :meth:`repro.suffix.SuffixArray.factorize_batch`, which parses
+        a large enough batch in one numpy kernel; the streams are identical
+        to parsing each document on its own.
+        """
+        documents = list(documents)
+        for document in documents:
+            if not isinstance(document, (bytes, bytearray)):
+                raise FactorizationError("factorize expects bytes-like documents")
+        return self._suffix_array.factorize_batch(documents)
+
     def factorize_many(
         self,
         documents: Iterable[bytes],
@@ -112,13 +125,15 @@ class RlzFactorizer:
                 start_method=start_method,
                 share_memory=share_memory,
             )
-            return [
-                Factorization(
-                    [
-                        Factor(position=position, length=length)
-                        for position, length in zip(positions, lengths)
-                    ]
-                )
-                for positions, lengths in pipeline.factorize_documents(documents)
-            ]
-        return [self.factorize(document) for document in documents]
+            streams = pipeline.factorize_documents(documents)
+        else:
+            streams = self.factorize_batch(documents)
+        return [
+            Factorization(
+                [
+                    Factor(position=position, length=length)
+                    for position, length in zip(positions, lengths)
+                ]
+            )
+            for positions, lengths in streams
+        ]

@@ -343,8 +343,8 @@ def _encode_chunk(
 ) -> List[bytes]:
     factorizer, encoder = state if state is not None else _WORKER_STATE
     return [
-        encoder.encode_streams(*factorizer.factorize_streams(document))
-        for document in documents
+        encoder.encode_streams(positions, lengths)
+        for positions, lengths in factorizer.factorize_batch(documents)
     ]
 
 
@@ -353,7 +353,7 @@ def _factorize_chunk(
     state: Optional[Tuple[RlzFactorizer, PairEncoder]] = None,
 ) -> List[Tuple[List[int], List[int]]]:
     factorizer, _ = state if state is not None else _WORKER_STATE
-    return [factorizer.factorize_streams(document) for document in documents]
+    return factorizer.factorize_batch(documents)
 
 
 def _describe_chunk(

@@ -967,6 +967,28 @@ class RlzClient:
         self.close()
 
 
+def _expire(future: "asyncio.Future[Tuple[int, bytes]]") -> None:
+    if not future.done():
+        future.set_exception(asyncio.TimeoutError())
+
+
+async def _await_reply(
+    future: "asyncio.Future[Tuple[int, bytes]]", wait: float
+) -> Tuple[int, bytes]:
+    """Await a tagged reply for at most ``wait`` seconds.
+
+    The timeout fails the future itself instead of wrapping it in
+    ``asyncio.wait_for``: on Python 3.11 ``wait_for`` returns the result
+    when a cancel and the reply land in the same loop iteration, swallowing
+    the cancel.  A plain ``await`` of the future always delivers it.
+    """
+    timer = asyncio.get_running_loop().call_later(wait, _expire, future)
+    try:
+        return await future
+    finally:
+        timer.cancel()
+
+
 class _AsyncConnection:
     """One negotiated asyncio connection, optionally multiplexed.
 
@@ -1311,7 +1333,7 @@ class AsyncRlzClient:
                     frame = protocol.encode_frame2(opcode, request_id, payload)
                 conn.writer.write(frame)
                 await conn.writer.drain()
-                reply, body = await asyncio.wait_for(future, wait)
+                reply, body = await _await_reply(future, wait)
             except asyncio.TimeoutError:
                 if deadline is not None and deadline.expired:
                     raise DeadlineExceededError(

@@ -62,3 +62,28 @@ def test_valid_on_random_binary(seed):
 def test_highly_repetitive_input():
     text = b"abab" * 100 + b"b"
     assert is_valid_suffix_array(text, suffix_array_doubling(text))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        b"ab\x00\x00ab",
+        b"\x00" * 20,
+        b"a\x00" * 10 + b"a",
+        b"xyz\x00\x00\x00\x00\x00\x00\x00xyz",
+        bytes(range(16)) * 3,
+        b"\xff" * 9 + b"\x00" + b"\xff" * 7,
+    ],
+)
+def test_short_suffixes_sort_before_the_zero_continued_ones(text):
+    """The first round ranks by 8-byte zero-padded keys, where a suffix
+    shorter than 8 bytes ties with every suffix it prefixes followed by
+    zeros; it must still sort first."""
+    assert suffix_array_doubling(text).tolist() == naive_suffix_array(text)
+
+
+def test_large_symbols_take_the_generic_path():
+    data = np.array([300, 2, 300, 2, 1000], dtype=np.int64)
+    ranks = {300: 1, 2: 0, 1000: 2}
+    expected = sorted(range(5), key=lambda i: [ranks[v] for v in data[i:].tolist()])
+    assert suffix_array_doubling(data).tolist() == expected
