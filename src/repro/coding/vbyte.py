@@ -49,21 +49,20 @@ def decode_vbyte(data: bytes, count: int | None = None) -> List[int]:
     shift = 0
     for byte in data:
         if byte & _TERMINATOR:
+            if len(values) == count:
+                raise DecodingError(f"vbyte stream has trailing bytes after {count} values")
             values.append(current | ((byte & 0x7F) << shift))
             current = 0
             shift = 0
-            if count is not None and len(values) == count:
-                break
         else:
             current |= byte << shift
             shift += 7
-    else:
-        if shift != 0:
-            raise DecodingError("truncated vbyte stream")
-        if count is not None and len(values) != count:
-            raise DecodingError(
-                f"vbyte stream contained {len(values)} values, expected {count}"
-            )
+    if shift != 0:
+        raise DecodingError("truncated vbyte stream")
+    if count is not None and len(values) != count:
+        raise DecodingError(
+            f"vbyte stream contained {len(values)} values, expected {count}"
+        )
     return values
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Sequence, Tuple
+from typing import Dict, Iterable, List, Sequence, Tuple, Union
 
 from ..corpus.document import DocumentCollection
 from ..errors import SearchError
@@ -83,8 +83,8 @@ class InvertedIndex:
     # ------------------------------------------------------------------
     # Indexing
     # ------------------------------------------------------------------
-    def add_document(self, doc_id: int, text: str) -> None:
-        """Tokenise and index one document."""
+    def add_document(self, doc_id: int, text: Union[str, bytes]) -> None:
+        """Tokenise and index one document (``str`` or UTF-8 ``bytes``)."""
         if doc_id in self._doc_lengths:
             raise SearchError(f"document {doc_id} is already indexed")
         terms = tokenize_text(text)
@@ -100,7 +100,7 @@ class InvertedIndex:
         """Index every document of ``collection``."""
         index = cls(k1=k1, b=b)
         for document in collection:
-            index.add_document(document.doc_id, document.text())
+            index.add_document(document.doc_id, document.content)
         return index
 
     # ------------------------------------------------------------------

@@ -44,7 +44,7 @@ def generate_queries(
     documents = list(collection)
     while len(queries) < num_queries:
         document = rng.choice(documents)
-        terms = tokenize_text(document.text())
+        terms = tokenize_text(document.content)
         if not terms:
             continue
         count = rng.randint(*terms_per_query)

@@ -11,7 +11,7 @@ at build time and loaded read-only at serving time:
     | u32 header_crc  (over everything above)                         |
     +-----------------------------------------------------------------+
     | postings section: per term, sorted by term —                    |
-    |   uvarint len(term) · term UTF-8 · uvarint df ·                 |
+    |   uvarint len(term) · term ASCII · uvarint df ·                 |
     |   df × (uvarint doc-id delta · uvarint tf · uvarint hit offset) |
     +-----------------------------------------------------------------+
     | doc-length section: per document, sorted by doc id —            |
@@ -30,6 +30,10 @@ a CRC32 checked at open (a flipped bit raises
 :class:`~repro.errors.CorruptArchiveError`, never a silently wrong
 ranking), and writes go to a same-directory temporary that is fsync'd and
 ``os.replace``\\ d into place, so a crashed build leaves no torn index.
+A file whose checksums hold but whose contents break the format — a
+non-ASCII, unsorted or repeated term, an empty posting list, a doc id
+repeated within a list or missing from the doc-length table — raises
+:class:`~repro.errors.StorageError` at open, not an error mid-search.
 
 Scoring is doc-at-a-time Okapi BM25 over the shard-local lists, using
 either the store's own statistics (a single unpartitioned archive) or
@@ -43,13 +47,14 @@ from __future__ import annotations
 import os
 import struct
 import zlib
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple, Union
 
 from ...errors import CorruptArchiveError, SearchError, StorageError
 from ..inverted_index import bm25_idf
-from ..tokenizer import tokenize_text, tokenize_with_offsets
+from ..tokenizer import STOPWORDS, scan_terms, tokenize_text
 
 __all__ = [
     "GlobalStats",
@@ -138,11 +143,10 @@ def build_postings(
     """Tokenise ``documents`` (``(doc_id, text)`` pairs) into an in-memory
     :class:`PostingsStore` ready to be written or queried.
 
-    Text may be ``str`` or UTF-8 ``bytes`` (undecodable bytes are
-    replaced, exactly like :meth:`repro.corpus.Document.text`).  Hit
-    offsets are recorded as *byte* offsets into the raw document, so the
-    serving side can hand them straight to
-    :meth:`~repro.storage.RlzStore.get_window`.
+    Text may be UTF-8 ``bytes`` (scanned as is, invalid sequences
+    included) or ``str`` (scanned as its UTF-8 encoding).  Hit offsets are
+    *byte* offsets into the raw document, so the serving side can hand
+    them straight to :meth:`~repro.storage.RlzStore.get_window`.
     """
     postings: Dict[str, List[Tuple[int, int, int]]] = {}
     doc_lengths: Dict[int, int] = {}
@@ -152,23 +156,15 @@ def build_postings(
             raise SearchError(f"cannot index negative doc id {doc_id}")
         if doc_id in doc_lengths:
             raise SearchError(f"document {doc_id} is already indexed")
-        if isinstance(content, (bytes, bytearray)):
-            text = bytes(content).decode("utf-8", errors="replace")
-        else:
-            text = content
-        pairs = tokenize_with_offsets(text)
-        doc_lengths[doc_id] = len(pairs)
-        ascii_text = text.isascii()
-        frequencies: Dict[str, Tuple[int, int]] = {}
-        for term, char_offset in pairs:
-            tf, first = frequencies.get(term, (0, char_offset))
-            frequencies[term] = (tf + 1, first)
-        for term, (tf, char_offset) in frequencies.items():
-            if ascii_text:
-                byte_offset = char_offset
-            else:
-                byte_offset = len(text[:char_offset].encode("utf-8"))
-            postings.setdefault(term, []).append((doc_id, tf, byte_offset))
+        terms, starts = scan_terms(content)
+        frequencies = Counter(terms)
+        first_offsets = dict(zip(reversed(terms), reversed(starts)))
+        length = len(terms)
+        for stopword in STOPWORDS:
+            length -= frequencies.pop(stopword, 0)
+        doc_lengths[doc_id] = length
+        for term, tf in frequencies.items():
+            postings.setdefault(term, []).append((doc_id, tf, first_offsets[term]))
     for term_postings in postings.values():
         term_postings.sort()
     return PostingsStore(postings, doc_lengths)
@@ -327,7 +323,7 @@ class PostingsStore:
         path = Path(path)
         postings_blob = bytearray()
         for term in sorted(self._postings):
-            encoded = term.encode("utf-8")
+            encoded = term.encode("ascii")
             _write_uvarint(postings_blob, len(encoded))
             postings_blob += encoded
             term_postings = self._postings[term]
@@ -410,47 +406,68 @@ class PostingsStore:
                 f"postings index {path}: doc-length section failed its CRC32 check"
             )
 
-        postings: Dict[str, List[Tuple[int, int, int]]] = {}
-        position = 0
-        for _ in range(term_count):
-            length, position = _read_uvarint(postings_blob, position)
-            if position + length > len(postings_blob):
-                raise StorageError(f"postings index {path}: truncated term")
-            term = postings_blob[position : position + length].decode("utf-8")
-            position += length
-            df, position = _read_uvarint(postings_blob, position)
-            term_postings: List[Tuple[int, int, int]] = []
-            doc_id = 0
-            for _ in range(df):
-                delta, position = _read_uvarint(postings_blob, position)
-                doc_id += delta
-                tf, position = _read_uvarint(postings_blob, position)
-                hit, position = _read_uvarint(postings_blob, position)
-                term_postings.append((doc_id, tf, hit))
-            postings[term] = term_postings
-        if position != len(postings_blob):
-            raise StorageError(f"postings index {path}: trailing postings bytes")
+        def malformed(reason: str) -> StorageError:
+            return StorageError(f"postings index {path}: {reason}")
 
         doc_lengths: Dict[int, int] = {}
         position = 0
         count, position = _read_uvarint(doclens_blob, position)
         doc_id = 0
-        for _ in range(count):
+        for index in range(count):
             delta, position = _read_uvarint(doclens_blob, position)
+            if index and not delta:
+                raise malformed(f"doc-length table repeats document {doc_id}")
             doc_id += delta
             length, position = _read_uvarint(doclens_blob, position)
             doc_lengths[doc_id] = length
         if position != len(doclens_blob):
-            raise StorageError(f"postings index {path}: trailing doc-length bytes")
+            raise malformed("trailing doc-length bytes")
         if len(doc_lengths) != doc_count:
-            raise StorageError(
-                f"postings index {path}: doc-length table holds "
-                f"{len(doc_lengths)} documents, header says {doc_count}"
+            raise malformed(
+                f"doc-length table holds {len(doc_lengths)} documents, "
+                f"header says {doc_count}"
             )
+
+        postings: Dict[str, List[Tuple[int, int, int]]] = {}
+        position = 0
+        previous_term = None
+        for _ in range(term_count):
+            length, position = _read_uvarint(postings_blob, position)
+            if position + length > len(postings_blob):
+                raise malformed("truncated term")
+            term_bytes = postings_blob[position : position + length]
+            position += length
+            if not term_bytes.isascii():
+                raise malformed(f"term {term_bytes!r} is not ASCII")
+            if previous_term is not None and term_bytes <= previous_term:
+                raise malformed(f"term {term_bytes!r} is out of order or repeated")
+            previous_term = term_bytes
+            df, position = _read_uvarint(postings_blob, position)
+            if not df:
+                raise malformed(f"term {term_bytes!r} has an empty posting list")
+            term_postings: List[Tuple[int, int, int]] = []
+            doc_id = 0
+            for index in range(df):
+                delta, position = _read_uvarint(postings_blob, position)
+                if index and not delta:
+                    raise malformed(f"term {term_bytes!r} repeats document {doc_id}")
+                doc_id += delta
+                if doc_id not in doc_lengths:
+                    raise malformed(
+                        f"term {term_bytes!r} posts document {doc_id}, "
+                        "which the doc-length table lacks"
+                    )
+                tf, position = _read_uvarint(postings_blob, position)
+                hit, position = _read_uvarint(postings_blob, position)
+                term_postings.append((doc_id, tf, hit))
+            postings[term_bytes.decode("ascii")] = term_postings
+        if position != len(postings_blob):
+            raise malformed("trailing postings bytes")
+
         store = cls(postings, doc_lengths)
         if store.total_doc_length != total_doc_length:
-            raise StorageError(
-                f"postings index {path}: doc lengths sum to "
-                f"{store.total_doc_length}, header says {total_doc_length}"
+            raise malformed(
+                f"doc lengths sum to {store.total_doc_length}, "
+                f"header says {total_doc_length}"
             )
         return store

@@ -40,9 +40,16 @@ def test_decode_with_count_checks_exactness():
         decode_vbyte(data, count=5)
 
 
-def test_decode_with_count_stops_early():
+def test_decode_with_count_rejects_trailing_bytes():
+    # ``count`` values must use the whole buffer: a trailing complete
+    # value and a trailing partial one are both decoding errors.
     data = encode_vbyte([1, 2, 3])
-    assert decode_vbyte(data, count=2) == [1, 2]
+    with pytest.raises(DecodingError, match="trailing"):
+        decode_vbyte(data, count=2)
+    with pytest.raises(DecodingError):
+        decode_vbyte(encode_vbyte([1, 2]) + b"\x01", count=2)
+    with pytest.raises(DecodingError):
+        VByteCodec().decode(data, 2)
 
 
 def test_codec_interface_roundtrip():

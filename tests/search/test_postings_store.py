@@ -19,6 +19,9 @@ What must hold, because the serving stack leans on it:
 
 from __future__ import annotations
 
+import struct
+import zlib
+
 import pytest
 
 from repro.errors import CorruptArchiveError, SearchError, StorageError
@@ -144,6 +147,76 @@ def test_truncated_file_is_detected(tmp_path, built):
 def test_not_an_index_is_detected(tmp_path):
     path = tmp_path / "garbage.idx"
     path.write_bytes(b"definitely not a postings index, far too short? no.")
+    with pytest.raises(StorageError):
+        PostingsStore.open(path)
+
+
+# ----------------------------------------------------------------------
+# Hostile sidecars: CRC-valid files whose contents break the format's rules
+# ----------------------------------------------------------------------
+def _uvarints(*values):
+    out = bytearray()
+    for value in values:
+        while value >= 0x80:
+            out.append((value & 0x7F) | 0x80)
+            value >>= 7
+        out.append(value)
+    return bytes(out)
+
+
+def _craft(path, terms, doclens):
+    """Write a sidecar with correct CRCs and counts around raw sections.
+
+    ``terms`` is ``[(term_bytes, [(doc_id_delta, tf, offset), ...])]`` and
+    ``doclens`` ``[(doc_id_delta, length), ...]``, both written verbatim.
+    """
+    postings_blob = b"".join(
+        _uvarints(len(term)) + term + _uvarints(len(postings))
+        + b"".join(_uvarints(*posting) for posting in postings)
+        for term, postings in terms
+    )
+    doclens_blob = _uvarints(len(doclens)) + b"".join(
+        _uvarints(*entry) for entry in doclens
+    )
+    header = b"RPIX0001" + struct.pack(
+        "<QQQ", len(doclens), sum(length for _, length in doclens), len(terms)
+    )
+    header += struct.pack("<QI", len(postings_blob), zlib.crc32(postings_blob))
+    header += struct.pack("<QI", len(doclens_blob), zlib.crc32(doclens_blob))
+    header += struct.pack("<I", zlib.crc32(header))
+    path.write_bytes(header + postings_blob + doclens_blob)
+    return path
+
+
+DOCLENS = [(1, 3), (1, 2)]  # documents 1 and 2
+
+
+def test_crafted_well_formed_sidecar_opens(tmp_path):
+    path = _craft(tmp_path / "ok.idx", [(b"alpha", [(1, 1, 0), (1, 2, 4)])], DOCLENS)
+    store = PostingsStore.open(path)
+    assert list(store.postings("alpha")) == [(1, 1, 0), (2, 2, 4)]
+    assert [hit.doc_id for hit in store.search("alpha")] == [2, 1]
+
+
+@pytest.mark.parametrize(
+    "terms, doclens",
+    [
+        pytest.param([(b"caf\xc3\xa9", [(1, 1, 0)])], DOCLENS, id="non-ascii-term"),
+        pytest.param([(b"\xff", [(1, 1, 0)])], DOCLENS, id="non-utf8-term"),
+        pytest.param(
+            [(b"beta", [(1, 1, 0)]), (b"alpha", [(1, 1, 0)])], DOCLENS, id="unsorted-terms"
+        ),
+        pytest.param(
+            [(b"alpha", [(1, 1, 0)]), (b"alpha", [(2, 1, 0)])], DOCLENS, id="duplicate-terms"
+        ),
+        pytest.param([(b"alpha", [])], DOCLENS, id="zero-df"),
+        pytest.param([(b"alpha", [(1, 1, 0), (0, 1, 0)])], DOCLENS, id="repeated-doc-id"),
+        pytest.param([(b"alpha", [(7, 1, 0)])], DOCLENS, id="doc-id-without-length"),
+        pytest.param([(b"alpha", [(1, 1, 0)])], [(1, 3), (0, 2)], id="repeated-doclen"),
+    ],
+)
+def test_crafted_sidecar_is_rejected_with_a_typed_error(tmp_path, terms, doclens):
+    path = _craft(tmp_path / "hostile.idx", terms, doclens)
     with pytest.raises(StorageError):
         PostingsStore.open(path)
 
